@@ -6,14 +6,17 @@
 // goes through Fix/Unfix and acquires the frame's page latch; the PLP
 // designs bypass the latch (but not the fix) for pages owned by a single
 // partition worker.  The buffer pool's own internal state (the page table)
-// is protected by a striped mutex whose acquisitions are reported to the
-// critical-section statistics under the Bpool category, exactly as the
-// paper's Figure 1 accounts for them.
+// is split by page ID into numStripes (64) cache-line-padded stripes, each
+// guarded by its own mutex and counting its own fixes, so workers fixing
+// different pages rarely meet.  Every Fix, NewPage and FreePage reports its
+// stripe acquisition to the critical-section statistics under the Bpool
+// category, exactly as the paper's Figure 1 accounts for them.
 //
 // The experiments in the paper run with memory-resident databases, so the
 // default configuration never evicts.  A simple CLOCK eviction policy is
 // available when a capacity limit is configured, which also exercises the
-// page-cleaner path.
+// page-cleaner path: the capacity is pool-wide, and a full pool evicts from
+// the stripes in turn, each running CLOCK over its own frames.
 package bufferpool
 
 import (
@@ -21,6 +24,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"plp/internal/cs"
 	"plp/internal/latch"
@@ -152,26 +156,52 @@ type Config struct {
 	CSStats *cs.Stats
 }
 
+// numStripes is the number of page-table stripes; a power of two.
+const numStripes = 64
+
+// cacheLine is the padding unit that keeps stripes on separate cache lines.
+const cacheLine = 64
+
+// stripeState is one stripe of the page table: the frames whose page IDs
+// map to it, their CLOCK order, and the number of fixes it served.  Every
+// field is guarded by mu.
+type stripeState struct {
+	mu    sync.Mutex
+	table map[page.ID]*Frame
+	fifo  []page.ID // resident pages in allocation order, for CLOCK eviction
+	clock int
+	fixes uint64
+}
+
+// stripe pads stripeState to whole cache lines.
+type stripe struct {
+	stripeState
+	_ [cacheLine - unsafe.Sizeof(stripeState{})%cacheLine]byte
+}
+
 // Pool is the buffer manager.
 type Pool struct {
 	store Store
 	cfg   Config
 
-	mu     sync.Mutex
-	table  map[page.ID]*Frame
-	fifo   []page.ID // allocation order, used by CLOCK eviction
-	clock  int
-	nFixes atomic.Uint64
-	nMiss  atomic.Uint64
+	stripes [numStripes]stripe
+	nMiss   atomic.Uint64
+
+	// With Capacity > 0, capMu serializes every change to the set of
+	// resident frames, so resident is exact and an eviction scan sees a
+	// stable pool; hand is the stripe the next eviction starts from.
+	capMu    sync.Mutex
+	resident int
+	hand     int
 }
 
 // New returns a buffer pool over the given store.
 func New(store Store, cfg Config) *Pool {
-	return &Pool{
-		store: store,
-		cfg:   cfg,
-		table: make(map[page.ID]*Frame),
+	bp := &Pool{store: store, cfg: cfg}
+	for i := range bp.stripes {
+		bp.stripes[i].table = make(map[page.ID]*Frame)
 	}
+	return bp
 }
 
 // NewMemory returns a buffer pool over a fresh in-memory store with no
@@ -195,9 +225,49 @@ func latchKindFor(k page.Kind) latch.PageKind {
 	}
 }
 
-// recordBpoolCS notes one page-table critical section.
-func (bp *Pool) recordBpoolCS(contended bool) {
-	bp.cfg.CSStats.Record(cs.Bpool, contended)
+// stripeOf returns the stripe holding id.
+func (bp *Pool) stripeOf(id page.ID) *stripe {
+	return &bp.stripes[uint64(id)%numStripes]
+}
+
+// lockStripe enters id's page-table critical section and reports it under
+// the Bpool category.
+func (bp *Pool) lockStripe(id page.ID) *stripe {
+	s := bp.stripeOf(id)
+	contended := !s.mu.TryLock()
+	if contended {
+		s.mu.Lock()
+	}
+	bp.cfg.CSStats.RecordAt(uint64(id), cs.Bpool, contended)
+	return s
+}
+
+// install adds f under id to its stripe, evicting first when the pool is at
+// Capacity, unless another thread installed the page meanwhile, in which
+// case that frame is pinned and returned instead.
+func (bp *Pool) install(id page.ID, f *Frame) (*Frame, error) {
+	if bp.cfg.Capacity > 0 {
+		bp.capMu.Lock()
+		defer bp.capMu.Unlock()
+		if bp.resident >= bp.cfg.Capacity {
+			if err := bp.evictOne(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	s := bp.lockStripe(id)
+	defer s.mu.Unlock()
+	if existing, ok := s.table[id]; ok {
+		existing.pin.Add(1)
+		existing.ref.Store(true)
+		return existing, nil
+	}
+	s.table[id] = f
+	if bp.cfg.Capacity > 0 {
+		s.fifo = append(s.fifo, id)
+		bp.resident++
+	}
+	return f, nil
 }
 
 // NewPage allocates a new page of the given kind, fixes it, and returns the
@@ -213,20 +283,9 @@ func (bp *Pool) NewPage(kind page.Kind) (*Frame, error) {
 	f.dirty.Store(true)
 	f.ref.Store(true)
 
-	contended := !bp.mu.TryLock()
-	if contended {
-		bp.mu.Lock()
+	if _, err := bp.install(id, f); err != nil {
+		return nil, err
 	}
-	bp.recordBpoolCS(contended)
-	if bp.cfg.Capacity > 0 && len(bp.table) >= bp.cfg.Capacity {
-		if err := bp.evictLocked(); err != nil {
-			bp.mu.Unlock()
-			return nil, err
-		}
-	}
-	bp.table[id] = f
-	bp.fifo = append(bp.fifo, id)
-	bp.mu.Unlock()
 
 	// Persist an initial image so that a later miss can always read it.
 	if err := bp.store.Write(id, p.Marshal()); err != nil {
@@ -241,20 +300,15 @@ func (bp *Pool) Fix(id page.ID) (*Frame, error) {
 	if id == page.InvalidID {
 		return nil, ErrNoSuchPage
 	}
-	bp.nFixes.Add(1)
-
-	contended := !bp.mu.TryLock()
-	if contended {
-		bp.mu.Lock()
-	}
-	bp.recordBpoolCS(contended)
-	if f, ok := bp.table[id]; ok {
+	s := bp.lockStripe(id)
+	s.fixes++
+	if f, ok := s.table[id]; ok {
 		f.pin.Add(1)
 		f.ref.Store(true)
-		bp.mu.Unlock()
+		s.mu.Unlock()
 		return f, nil
 	}
-	bp.mu.Unlock()
+	s.mu.Unlock()
 
 	// Miss: read from the backing store outside the page-table critical
 	// section, then install.
@@ -273,29 +327,7 @@ func (bp *Pool) Fix(id page.ID) (*Frame, error) {
 	}
 	f.pin.Store(1)
 	f.ref.Store(true)
-
-	contended = !bp.mu.TryLock()
-	if contended {
-		bp.mu.Lock()
-	}
-	bp.recordBpoolCS(contended)
-	if existing, ok := bp.table[id]; ok {
-		// Another thread installed the page while we were reading it.
-		existing.pin.Add(1)
-		existing.ref.Store(true)
-		bp.mu.Unlock()
-		return existing, nil
-	}
-	if bp.cfg.Capacity > 0 && len(bp.table) >= bp.cfg.Capacity {
-		if err := bp.evictLocked(); err != nil {
-			bp.mu.Unlock()
-			return nil, err
-		}
-	}
-	bp.table[id] = f
-	bp.fifo = append(bp.fifo, id)
-	bp.mu.Unlock()
-	return f, nil
+	return bp.install(id, f)
 }
 
 // Unfix releases one pin on the frame.  If dirty is true the frame is marked
@@ -309,27 +341,35 @@ func (bp *Pool) Unfix(f *Frame, dirty bool) {
 	}
 }
 
-// evictLocked removes one unpinned frame, flushing it if dirty.  Caller
-// holds bp.mu.
-func (bp *Pool) evictLocked() error {
-	if len(bp.fifo) == 0 {
-		return ErrPoolFull
-	}
-	for attempts := 0; attempts < 2*len(bp.fifo); attempts++ {
-		bp.clock = (bp.clock + 1) % len(bp.fifo)
-		id := bp.fifo[bp.clock]
-		f, ok := bp.table[id]
-		if !ok {
-			// Stale fifo entry; drop it.
-			bp.fifo = append(bp.fifo[:bp.clock], bp.fifo[bp.clock+1:]...)
-			if bp.clock >= len(bp.fifo) && len(bp.fifo) > 0 {
-				bp.clock = 0
-			}
-			if len(bp.fifo) == 0 {
-				return ErrPoolFull
-			}
-			continue
+// evictOne removes one unpinned frame from the pool, visiting the stripes
+// in turn from the eviction hand.  It fails with ErrPoolFull when every
+// resident frame is pinned.  Caller holds bp.capMu.
+func (bp *Pool) evictOne() error {
+	for i := 0; i < numStripes; i++ {
+		bp.hand = (bp.hand + 1) % numStripes
+		s := &bp.stripes[bp.hand]
+		s.mu.Lock()
+		evicted, err := s.evictLocked(bp.store)
+		s.mu.Unlock()
+		if err != nil {
+			return err
 		}
+		if evicted {
+			bp.resident--
+			return nil
+		}
+	}
+	return ErrPoolFull
+}
+
+// evictLocked runs CLOCK over the stripe's frames and removes one unpinned
+// frame, flushing it if dirty.  It reports false when every frame of the
+// stripe is pinned.  Caller holds s.mu.
+func (s *stripe) evictLocked(store Store) (bool, error) {
+	for attempts := 0; attempts < 2*len(s.fifo); attempts++ {
+		s.clock = (s.clock + 1) % len(s.fifo)
+		id := s.fifo[s.clock]
+		f := s.table[id]
 		if f.pin.Load() > 0 {
 			continue
 		}
@@ -337,46 +377,64 @@ func (bp *Pool) evictLocked() error {
 			continue // second chance
 		}
 		if f.dirty.Load() {
-			if err := bp.store.Write(id, f.page.Marshal()); err != nil {
-				return err
+			if err := store.Write(id, f.page.Marshal()); err != nil {
+				return false, err
 			}
 			f.dirty.Store(false)
 		}
-		delete(bp.table, id)
-		bp.fifo = append(bp.fifo[:bp.clock], bp.fifo[bp.clock+1:]...)
-		return nil
+		delete(s.table, id)
+		s.fifo = append(s.fifo[:s.clock], s.fifo[s.clock+1:]...)
+		return true, nil
 	}
-	return ErrPoolFull
+	return false, nil
+}
+
+// dropFromClock removes id from the stripe's CLOCK order.  Caller holds
+// s.mu.
+func (s *stripe) dropFromClock(id page.ID) {
+	for i, fid := range s.fifo {
+		if fid == id {
+			s.fifo = append(s.fifo[:i], s.fifo[i+1:]...)
+			return
+		}
+	}
 }
 
 // FreePage removes the page from the pool and the backing store.  The page
 // must be unpinned.
 func (bp *Pool) FreePage(id page.ID) error {
-	contended := !bp.mu.TryLock()
-	if contended {
-		bp.mu.Lock()
+	if bp.cfg.Capacity > 0 {
+		bp.capMu.Lock()
+		defer bp.capMu.Unlock()
 	}
-	bp.recordBpoolCS(contended)
-	if f, ok := bp.table[id]; ok {
+	s := bp.lockStripe(id)
+	if f, ok := s.table[id]; ok {
 		if f.pin.Load() > 0 {
-			bp.mu.Unlock()
+			s.mu.Unlock()
 			return ErrPagePinned
 		}
-		delete(bp.table, id)
+		delete(s.table, id)
+		if bp.cfg.Capacity > 0 {
+			s.dropFromClock(id)
+			bp.resident--
+		}
 	}
-	bp.mu.Unlock()
+	s.mu.Unlock()
 	return bp.store.Free(id)
+}
+
+// lookup returns the resident frame of id, or nil.
+func (bp *Pool) lookup(id page.ID) *Frame {
+	s := bp.stripeOf(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.table[id]
 }
 
 // FlushPage writes the page back to the store if it is dirty.
 func (bp *Pool) FlushPage(id page.ID) error {
-	bp.mu.Lock()
-	f, ok := bp.table[id]
-	bp.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	if !f.dirty.Load() {
+	f := bp.lookup(id)
+	if f == nil || !f.dirty.Load() {
 		return nil
 	}
 	// The cleaner latches the page in shared mode so that it captures a
@@ -391,15 +449,7 @@ func (bp *Pool) FlushPage(id page.ID) error {
 
 // FlushAll writes every dirty page back to the store.
 func (bp *Pool) FlushAll() error {
-	bp.mu.Lock()
-	ids := make([]page.ID, 0, len(bp.table))
-	for id, f := range bp.table {
-		if f.dirty.Load() {
-			ids = append(ids, id)
-		}
-	}
-	bp.mu.Unlock()
-	for _, id := range ids {
+	for _, id := range bp.DirtyPageIDs() {
 		if err := bp.FlushPage(id); err != nil {
 			return err
 		}
@@ -410,13 +460,16 @@ func (bp *Pool) FlushAll() error {
 // DirtyPageIDs returns the IDs of all dirty resident pages (used by the page
 // cleaner and by the PLP per-partition cleaning path).
 func (bp *Pool) DirtyPageIDs() []page.ID {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
 	out := make([]page.ID, 0)
-	for id, f := range bp.table {
-		if f.dirty.Load() {
-			out = append(out, id)
+	for i := range bp.stripes {
+		s := &bp.stripes[i]
+		s.mu.Lock()
+		for id, f := range s.table {
+			if f.dirty.Load() {
+				out = append(out, id)
+			}
 		}
+		s.mu.Unlock()
 	}
 	return out
 }
@@ -428,21 +481,20 @@ type Stats struct {
 	Resident int
 }
 
-// Stats returns a snapshot of buffer pool activity.
+// Stats returns a snapshot of buffer pool activity, summed over the stripes.
 func (bp *Pool) Stats() Stats {
-	bp.mu.Lock()
-	resident := len(bp.table)
-	bp.mu.Unlock()
-	return Stats{
-		Fixes:    bp.nFixes.Load(),
-		Misses:   bp.nMiss.Load(),
-		Resident: resident,
+	st := Stats{Misses: bp.nMiss.Load()}
+	for i := range bp.stripes {
+		s := &bp.stripes[i]
+		s.mu.Lock()
+		st.Fixes += s.fixes
+		st.Resident += len(s.table)
+		s.mu.Unlock()
 	}
+	return st
 }
 
 // NumResident returns the number of pages currently cached.
 func (bp *Pool) NumResident() int {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	return len(bp.table)
+	return bp.Stats().Resident
 }

@@ -262,3 +262,121 @@ func TestMemStoreAllocateFreeReuse(t *testing.T) {
 		t.Fatalf("freed id not reused: got %v want %v", c, a)
 	}
 }
+
+// churnPages has each of goroutines workers allocate perG pages, write a
+// payload, re-fix every page to check it, then free every other page.  It
+// returns the surviving page IDs and payloads.
+func churnPages(t *testing.T, bp *Pool, goroutines, perG int) map[page.ID]string {
+	t.Helper()
+	var mu sync.Mutex
+	kept := make(map[page.ID]string)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			ids := make([]page.ID, perG)
+			for i := range ids {
+				f, err := bp.NewPage(page.KindHeap)
+				if err != nil {
+					t.Errorf("NewPage: %v", err)
+					return
+				}
+				if _, err := f.Page().Add([]byte(fmt.Sprintf("g%d-%d", g, i))); err != nil {
+					t.Errorf("Add: %v", err)
+				}
+				ids[i] = f.Page().ID()
+				bp.Unfix(f, true)
+			}
+			for i, id := range ids {
+				f, err := bp.Fix(id)
+				if err != nil {
+					t.Errorf("Fix %v: %v", id, err)
+					return
+				}
+				rec, err := f.Page().Get(0)
+				if want := fmt.Sprintf("g%d-%d", g, i); err != nil || string(rec) != want {
+					t.Errorf("page %v holds %q (%v), want %q", id, rec, err, want)
+				}
+				bp.Unfix(f, false)
+			}
+			for i, id := range ids {
+				if i%2 == 0 {
+					if err := bp.FreePage(id); err != nil {
+						t.Errorf("FreePage %v: %v", id, err)
+					}
+					continue
+				}
+				mu.Lock()
+				kept[id] = fmt.Sprintf("g%d-%d", g, i)
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	return kept
+}
+
+func TestConcurrentStripesUnbounded(t *testing.T) {
+	cstats := &cs.Stats{}
+	bp := NewMemory(Config{LatchStats: &latch.Stats{}, CSStats: cstats})
+	const goroutines, perG = 8, 200
+	kept := churnPages(t, bp, goroutines, perG)
+	st := bp.Stats()
+	if st.Fixes != goroutines*perG || st.Misses != 0 {
+		t.Fatalf("fixes %d misses %d, want %d and 0", st.Fixes, st.Misses, goroutines*perG)
+	}
+	if st.Resident != len(kept) || bp.NumResident() != len(kept) {
+		t.Fatalf("resident %d/%d, want %d", st.Resident, bp.NumResident(), len(kept))
+	}
+	// One Bpool critical section per NewPage, Fix and FreePage.
+	if got, want := cstats.Snapshot().Entered[cs.Bpool], uint64(goroutines*perG*5/2); got != want {
+		t.Fatalf("Bpool critical sections %d, want %d", got, want)
+	}
+	if dirty := len(bp.DirtyPageIDs()); dirty != len(kept) {
+		t.Fatalf("%d dirty pages, want %d", dirty, len(kept))
+	}
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if dirty := len(bp.DirtyPageIDs()); dirty != 0 {
+		t.Fatalf("%d dirty pages after FlushAll", dirty)
+	}
+}
+
+func TestConcurrentStripesBounded(t *testing.T) {
+	const capacity = 16
+	bp := newPool(capacity)
+	// A frame pinned for the whole run must never be evicted.
+	pinned, err := bp.NewPage(page.KindHeap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := churnPages(t, bp, 4, 60)
+	if n := bp.NumResident(); n > capacity {
+		t.Fatalf("%d resident frames exceed capacity %d", n, capacity)
+	}
+	if bp.Stats().Misses == 0 {
+		t.Fatal("no misses: nothing was evicted")
+	}
+	f, err := bp.Fix(pinned.Page().ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f != pinned {
+		t.Fatal("pinned frame was evicted")
+	}
+	bp.Unfix(f, false)
+	bp.Unfix(pinned, false)
+	// Evicted dirty pages were written back: every survivor reads back.
+	for id, want := range kept {
+		f, err := bp.Fix(id)
+		if err != nil {
+			t.Fatalf("Fix %v: %v", id, err)
+		}
+		if rec, err := f.Page().Get(0); err != nil || string(rec) != want {
+			t.Fatalf("page %v holds %q (%v), want %q", id, rec, err, want)
+		}
+		bp.Unfix(f, false)
+	}
+}

@@ -12,13 +12,18 @@
 // before and after a run to compute per-transaction breakdowns
 // (Figures 1 and 3 of the paper).
 //
-// All counters are updated with atomic operations so that the accounting
-// itself never becomes a point of contention.
+// All counters are updated with atomic operations and are split into
+// numShards cache-line-padded shards, so that the accounting itself never
+// becomes a point of contention: a caller that knows a value spreading its
+// concurrent entries (the buffer pool passes the page ID) records through
+// RecordAt and lands on its own shard.  Snapshot and Reset sum and clear
+// every shard, so totals are exact.
 package cs
 
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Category identifies the storage-manager component that owns a critical
@@ -112,13 +117,30 @@ func DefaultClass(c Category) Class {
 	}
 }
 
+// numShards is the number of counter shards in a Stats; a power of two.
+const numShards = 16
+
+// cacheLine is the padding unit that keeps shards on separate cache lines.
+const cacheLine = 64
+
+// counters is one shard of a Stats.
+type counters struct {
+	entered   [NumCategories]atomic.Uint64
+	contended [NumCategories]atomic.Uint64
+	byClass   [NumClasses]atomic.Uint64
+}
+
+// shard pads counters to whole cache lines.
+type shard struct {
+	counters
+	_ [cacheLine - unsafe.Sizeof(counters{})%cacheLine]byte
+}
+
 // Stats accumulates critical-section counts.  The zero value is ready to
 // use.  A single Stats instance is shared by all components of one engine
 // instance; the harness snapshots it around measured runs.
 type Stats struct {
-	entered   [NumCategories]atomic.Uint64
-	contended [NumCategories]atomic.Uint64
-	byClass   [NumClasses]atomic.Uint64
+	shards [numShards]shard
 }
 
 // Record notes one critical-section entry for category cat using the
@@ -127,7 +149,18 @@ type Stats struct {
 // Record is safe for concurrent use and tolerates a nil receiver so that
 // components can be used without instrumentation.
 func (s *Stats) Record(cat Category, contended bool) {
-	s.RecordClass(cat, DefaultClass(cat), contended)
+	s.RecordAt(0, cat, contended)
+}
+
+// RecordAt is Record with a shard hint: entries with different hints
+// (modulo the shard count) update different cache lines, so concurrent
+// recorders that pass, say, the page ID they are working on do not contend
+// on the counters.
+func (s *Stats) RecordAt(hint uint64, cat Category, contended bool) {
+	if s == nil {
+		return
+	}
+	s.shards[hint%numShards].record(cat, DefaultClass(cat), contended)
 }
 
 // RecordClass notes one critical-section entry with an explicit contention
@@ -136,15 +169,20 @@ func (s *Stats) RecordClass(cat Category, class Class, contended bool) {
 	if s == nil {
 		return
 	}
+	s.shards[0].record(cat, class, contended)
+}
+
+// record counts one entry on this shard.
+func (c *counters) record(cat Category, class Class, contended bool) {
 	if cat < 0 || int(cat) >= NumCategories {
 		cat = Uncategorized
 	}
-	s.entered[cat].Add(1)
+	c.entered[cat].Add(1)
 	if contended {
-		s.contended[cat].Add(1)
+		c.contended[cat].Add(1)
 	}
 	if class >= 0 && int(class) < NumClasses {
-		s.byClass[class].Add(1)
+		c.byClass[class].Add(1)
 	}
 }
 
@@ -158,9 +196,9 @@ func (s *Stats) RecordN(cat Category, n uint64) {
 	if cat < 0 || int(cat) >= NumCategories {
 		cat = Uncategorized
 	}
-	s.entered[cat].Add(n)
-	class := DefaultClass(cat)
-	s.byClass[class].Add(n)
+	c := &s.shards[0]
+	c.entered[cat].Add(n)
+	c.byClass[DefaultClass(cat)].Add(n)
 }
 
 // Reset zeroes all counters.
@@ -168,12 +206,15 @@ func (s *Stats) Reset() {
 	if s == nil {
 		return
 	}
-	for i := 0; i < NumCategories; i++ {
-		s.entered[i].Store(0)
-		s.contended[i].Store(0)
-	}
-	for i := 0; i < NumClasses; i++ {
-		s.byClass[i].Store(0)
+	for i := range s.shards {
+		c := &s.shards[i]
+		for j := 0; j < NumCategories; j++ {
+			c.entered[j].Store(0)
+			c.contended[j].Store(0)
+		}
+		for j := 0; j < NumClasses; j++ {
+			c.byClass[j].Store(0)
+		}
 	}
 }
 
@@ -184,19 +225,22 @@ type Snapshot struct {
 	ByClass   [NumClasses]uint64
 }
 
-// Snapshot returns a copy of the current counter values.  A nil Stats
-// yields a zero Snapshot.
+// Snapshot returns a copy of the current counter values, summed over the
+// shards.  A nil Stats yields a zero Snapshot.
 func (s *Stats) Snapshot() Snapshot {
 	var snap Snapshot
 	if s == nil {
 		return snap
 	}
-	for i := 0; i < NumCategories; i++ {
-		snap.Entered[i] = s.entered[i].Load()
-		snap.Contended[i] = s.contended[i].Load()
-	}
-	for i := 0; i < NumClasses; i++ {
-		snap.ByClass[i] = s.byClass[i].Load()
+	for i := range s.shards {
+		c := &s.shards[i]
+		for j := 0; j < NumCategories; j++ {
+			snap.Entered[j] += c.entered[j].Load()
+			snap.Contended[j] += c.contended[j].Load()
+		}
+		for j := 0; j < NumClasses; j++ {
+			snap.ByClass[j] += c.byClass[j].Load()
+		}
 	}
 	return snap
 }

@@ -126,3 +126,43 @@ func TestConcurrentRecording(t *testing.T) {
 		t.Fatalf("contended count wrong: %d", snap.Contended[Latching])
 	}
 }
+
+func TestShardedRecordingExactTotals(t *testing.T) {
+	var s Stats
+	var wg sync.WaitGroup
+	const goroutines = 8
+	const per = 2000
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				s.RecordAt(uint64(g*per+i), Bpool, i%4 == 0)
+				s.Record(Metadata, false)
+				s.RecordClass(MessagePassing, Fixed, i%2 == 0)
+			}
+			s.RecordN(LogMgr, per)
+		}(g)
+	}
+	wg.Wait()
+	snap := s.Snapshot()
+	const n = goroutines * per
+	if snap.Entered[Bpool] != n || snap.Contended[Bpool] != n/4 {
+		t.Fatalf("Bpool entered %d contended %d, want %d and %d", snap.Entered[Bpool], snap.Contended[Bpool], n, n/4)
+	}
+	if snap.Entered[Metadata] != n || snap.Entered[MessagePassing] != n || snap.Contended[MessagePassing] != n/2 || snap.Entered[LogMgr] != n {
+		t.Fatalf("counters wrong: %+v", snap)
+	}
+	if snap.ByClass[Unscalable] != 2*n || snap.ByClass[Fixed] != n || snap.ByClass[Composable] != n {
+		t.Fatalf("class counters wrong: %+v", snap.ByClass)
+	}
+	if snap.Total() != 4*n || snap.TotalContended() != n/4+n/2 {
+		t.Fatalf("totals %d/%d", snap.Total(), snap.TotalContended())
+	}
+	s.Reset()
+	if s.Snapshot() != (Snapshot{}) {
+		t.Fatal("Reset left counts behind")
+	}
+	var nilStats *Stats
+	nilStats.RecordAt(7, Bpool, true) // must not panic
+}

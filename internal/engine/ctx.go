@@ -618,7 +618,7 @@ func mapBtreeErr(err error) error {
 		return nil
 	}
 	if errors.Is(err, btree.ErrDuplicateKey) {
-		return fmt.Errorf("%w: %v", ErrDuplicate, err)
+		return fmt.Errorf("%w: %w", ErrDuplicate, err)
 	}
 	return err
 }

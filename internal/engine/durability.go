@@ -16,12 +16,21 @@
 // data is loaded), then the table contents (checkpoint snapshot + committed
 // log tail), and finally it stashes the repartitioning controller's opaque
 // state blob for the controller to reclaim when it re-attaches.
+//
+// The snapshot is loaded in parallel, the way PLP runs everything else:
+// each partition's entries are loaded by the partition worker that owns
+// them (see Loader.LoadSnapshot), so the latch-free sub-trees and heap
+// pages are only ever touched by their owner.  The committed log tail
+// then replays in LSN order on the calling goroutine.
 package engine
 
 import (
 	"bytes"
 	"fmt"
+	"sort"
+	"sync"
 
+	"plp/internal/dora"
 	"plp/internal/recovery"
 )
 
@@ -57,8 +66,16 @@ func (e *Engine) Checkpoint() (recovery.CheckpointStats, error) {
 // must hold the same schema as the crashed instance (tables created, no
 // data loaded, no traffic yet); boundaries recorded by the most recent
 // checkpoint are re-applied before the contents are replayed so MRBTree
-// sub-tree ownership and heap placement match the pre-crash state.
+// sub-tree ownership and heap placement match the pre-crash state.  The
+// snapshot load runs on the partition workers, so Recover must not be
+// called from inside Quiesce (the parked workers would never run it).
 func (e *Engine) Recover() (RecoverInfo, error) {
+	return e.recoverInto(e.NewLoader())
+}
+
+// recoverInto is Recover replaying into t; tests pass a target that hides
+// Loader.LoadSnapshot to get the single-goroutine load.
+func (e *Engine) recoverInto(t recovery.Target) (RecoverInfo, error) {
 	// Replay rebuilds this node's physical organization (page splits,
 	// boundary moves) from logical history; those reorganizations must not
 	// append new structural records — on a follower they would break the
@@ -85,7 +102,7 @@ func (e *Engine) Recover() (RecoverInfo, error) {
 			info.ControllerState = true
 		}
 	}
-	info.Replay, err = recovery.Replay(a, e.NewLoader())
+	info.Replay, err = recovery.Replay(a, t)
 	if err != nil {
 		return info, err
 	}
@@ -97,6 +114,112 @@ func (e *Engine) Recover() (RecoverInfo, error) {
 	info.Losers = len(a.Losers())
 	info.InDoubt = len(a.InDoubt())
 	return info, nil
+}
+
+// LoadSnapshot implements recovery.SnapshotLoader.  It splits the snapshot
+// into lanes (see snapshotLanes) and loads each lane with
+// recovery.LoadSpans: lane p on partition worker p, the shared lane on one
+// extra goroutine, and every lane on the calling goroutine when the engine
+// has no workers (Conventional).  It waits for every lane and returns the
+// first lane error.
+func (l *Loader) LoadSnapshot(s *recovery.Snapshot) (int, error) {
+	e := l.ctx.eng
+	lanes := e.snapshotLanes(s)
+	counts := make([]int, len(lanes))
+	errs := make([]error, len(lanes))
+	load := func(i int) {
+		counts[i], errs[i] = recovery.LoadSpans(e.NewLoader(), s, lanes[i])
+	}
+	if e.pool == nil {
+		for i := range lanes {
+			load(i)
+		}
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(len(lanes))
+		shared := len(lanes) - 1
+		go func() {
+			defer wg.Done()
+			load(shared)
+		}()
+		for i := 0; i < shared; i++ {
+			err := e.pool.Worker(i).Submit(dora.Task{Do: func(*dora.Worker) {
+				defer wg.Done()
+				load(i)
+			}})
+			if err != nil {
+				errs[i] = err
+				wg.Done()
+			}
+		}
+		wg.Wait()
+	}
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	for _, err := range errs {
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// snapshotLanes assigns every snapshot entry to a load lane.  Lane p (one
+// per partition worker; a single lane without workers) holds the primary
+// entries the routing table gives to partition p, plus the entries of
+// sub-tree p of every multi-rooted (partition-aligned) secondary index.
+// The last, shared lane holds what no worker owns: the latched,
+// single-rooted secondary indexes, and chunks of tables the schema lacks
+// (whose load then fails there).  Each chunk is in key order, so it is cut
+// at the boundaries by binary search instead of being copied.
+func (e *Engine) snapshotLanes(s *recovery.Snapshot) [][]recovery.Span {
+	workers := 1
+	if e.pool != nil {
+		workers = e.pool.Size()
+	}
+	lanes := make([][]recovery.Span, workers+1)
+	shared := workers
+	for ci := range s.Chunks {
+		c := &s.Chunks[ci]
+		bounds, owned := e.laneBoundaries(c.Table, c.Index)
+		if !owned {
+			lanes[shared] = append(lanes[shared], recovery.Span{Chunk: ci, Hi: len(c.Keys)})
+			continue
+		}
+		for p, lo := 0, 0; lo < len(c.Keys); p++ {
+			hi := len(c.Keys)
+			if p < len(bounds) {
+				b, rest := bounds[p], c.Keys[lo:]
+				hi = lo + sort.Search(len(rest), func(i int) bool { return bytes.Compare(rest[i], b) >= 0 })
+			}
+			if hi > lo {
+				lanes[p%workers] = append(lanes[p%workers], recovery.Span{Chunk: ci, Lo: lo, Hi: hi})
+			}
+			lo = hi
+		}
+	}
+	return lanes
+}
+
+// laneBoundaries returns the boundaries that split a snapshot chunk of
+// table (index "" for the primary) into partition lanes, and false when the
+// chunk belongs in the shared lane.
+func (e *Engine) laneBoundaries(table, index string) ([][]byte, bool) {
+	if index == "" {
+		bounds, err := e.Boundaries(table)
+		return bounds, err == nil
+	}
+	tbl, err := e.Table(table)
+	if err != nil {
+		return nil, false
+	}
+	idx, err := tbl.Secondary(index)
+	if err != nil || idx.NumPartitions() == 1 {
+		return nil, false
+	}
+	return idx.Boundaries(), true
 }
 
 // restoreBoundaries moves the table's routing boundaries to want.  A

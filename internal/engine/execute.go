@@ -610,7 +610,12 @@ func (e *Engine) dispatchAction(a Action, rt *routingTable, epoch uint64, pidx i
 }
 
 // Loader provides direct, unlocked, unlogged access for bulk-loading a
-// database before measurements start.  It must be used single-threaded.
+// database before measurements start.  Its methods must be called from one
+// goroutine at a time.  LoadSnapshot, which restart recovery calls through
+// recovery.Replay, is the one path that fans out: it loads each partition's
+// snapshot entries on the partition worker owning them and the latched
+// secondary indexes on one extra goroutine, so nothing else may touch the
+// engine while it runs.
 type Loader struct {
 	ctx *Ctx
 }
@@ -742,12 +747,14 @@ func (e *Engine) Rebalance(table string, idx int, newBoundary []byte) (Rebalance
 			return nil
 		}
 		// PLP-Partition re-homes the heap records whose owner changes, which
-		// is why its repartitioning dip in Figure 8 is much larger.  The
+		// is why its repartitioning dip in Figure 8 is much larger (a
+		// clustered table has no heap and nothing to re-home).  The
 		// affected range is walked and validated BEFORE anything moves: an
 		// undecodable RID or unfixable page aborts the rebalance here, with
 		// routing, sub-trees and heap ownership all still consistent.
+		rehome := e.opts.Design == PLPPartition && !tbl.Def.Clustered
 		var pending []rehomeEntry
-		if e.opts.Design == PLPPartition {
+		if rehome {
 			lo, hi := oldBoundary, newBoundary
 			if bytes.Compare(lo, hi) > 0 {
 				lo, hi = hi, lo
@@ -767,7 +774,7 @@ func (e *Engine) Rebalance(table string, idx int, newBoundary []byte) (Rebalance
 		}
 		rt.setBoundary(idx-1, newBoundary)
 		st.EntriesMoved += rps.EntriesMoved
-		if e.opts.Design == PLPPartition {
+		if rehome {
 			moved, merr := e.applyRehome(tbl, table, pending)
 			st.RecordsMoved += moved
 			if merr != nil {

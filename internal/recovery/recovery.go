@@ -14,9 +14,13 @@
 //   - Replay rebuilds the database contents on a Target (normally an
 //     engine.Loader over a freshly created engine with the same schema):
 //     it loads the checkpoint snapshot, then re-applies the operations of
-//     committed transactions that follow the checkpoint.  Operations of
-//     aborted or in-flight transactions are never applied, which subsumes
-//     the undo pass of a physical ARIES restart.
+//     committed transactions that follow the checkpoint, in LSN order on
+//     the calling goroutine.  Operations of aborted or in-flight
+//     transactions are never applied, which subsumes the undo pass of a
+//     physical ARIES restart.  The snapshot is loaded by LoadSpans, on the
+//     calling goroutine, unless the Target is a SnapshotLoader:
+//     engine.Loader is one, and splits the snapshot at partition boundaries
+//     so each partition worker loads the entries it owns, in parallel.
 //   - Checkpoint captures a transactionally consistent snapshot of every
 //     table (and secondary index) into the log while the partition workers
 //     are quiesced, bounding the length of the log tail Replay has to scan.

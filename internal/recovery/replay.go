@@ -2,8 +2,10 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 
+	"plp/internal/btree"
 	"plp/internal/wal"
 )
 
@@ -11,7 +13,9 @@ import (
 // satisfied by *engine.Loader (the unlocked, unlogged bulk-load path of a
 // freshly created engine with the same schema as the crashed one).
 type Target interface {
-	// Insert adds a record under key.
+	// Insert adds a record under key.  When key is already present it must
+	// fail with an error wrapping btree.ErrDuplicateKey and leave the
+	// target unchanged.
 	Insert(table string, key, rec []byte) error
 	// Update overwrites the record under key.
 	Update(table string, key, rec []byte) error
@@ -76,27 +80,49 @@ func applyOp(t Target, op Op) error {
 	}
 }
 
-// loadSnapshot applies the checkpoint snapshot to the target.
-func loadSnapshot(t Target, s *Snapshot) (int, error) {
-	if s == nil {
-		return 0, nil
+// SnapshotLoader is optionally implemented by a Target that schedules the
+// checkpoint snapshot load itself — engine.Loader splits it into lanes and
+// runs them on the partition workers that own the data.  Implementations
+// load every entry through LoadSpans.
+type SnapshotLoader interface {
+	// LoadSnapshot loads every entry of s and returns how many it loaded.
+	LoadSnapshot(s *Snapshot) (int, error)
+}
+
+// Span is a run of consecutive entries of one snapshot chunk:
+// Chunks[Chunk].Keys[Lo:Hi].  A chunk's entries are in key order, so
+// splitting a chunk at partition boundaries yields one span per partition.
+type Span struct {
+	Chunk, Lo, Hi int
+}
+
+// Spans returns one span per chunk, covering the whole snapshot in log
+// order.
+func (s *Snapshot) Spans() []Span {
+	out := make([]Span, len(s.Chunks))
+	for i, c := range s.Chunks {
+		out[i] = Span{Chunk: i, Hi: len(c.Keys)}
 	}
+	return out
+}
+
+// LoadSpans loads the entries of the given snapshot spans into t, in order,
+// and returns how many it loaded.  A primary entry is inserted, and written
+// with Update instead when its key is already present, so loading a
+// snapshot on top of a partially recovered target converges to the same
+// state; secondary entries are upserts already.  It is the one snapshot
+// load loop: Replay runs it over the whole snapshot on the calling
+// goroutine unless the target is a SnapshotLoader.
+func LoadSpans(t Target, s *Snapshot, spans []Span) (int, error) {
 	n := 0
-	for _, chunk := range s.Chunks {
-		for i := range chunk.Keys {
+	for _, sp := range spans {
+		chunk := &s.Chunks[sp.Chunk]
+		for i := sp.Lo; i < sp.Hi; i++ {
 			var err error
 			if chunk.Index != "" {
 				err = t.InsertSecondary(chunk.Table, chunk.Index, chunk.Keys[i], chunk.Values[i])
-			} else {
-				exists, xerr := t.Exists(chunk.Table, chunk.Keys[i])
-				if xerr != nil {
-					return n, xerr
-				}
-				if exists {
-					err = t.Update(chunk.Table, chunk.Keys[i], chunk.Values[i])
-				} else {
-					err = t.Insert(chunk.Table, chunk.Keys[i], chunk.Values[i])
-				}
+			} else if err = t.Insert(chunk.Table, chunk.Keys[i], chunk.Values[i]); errors.Is(err, btree.ErrDuplicateKey) {
+				err = t.Update(chunk.Table, chunk.Keys[i], chunk.Values[i])
 			}
 			if err != nil {
 				return n, fmt.Errorf("recovery: loading snapshot entry %s/%x: %w", chunk.Table, chunk.Keys[i], err)
@@ -105,6 +131,17 @@ func loadSnapshot(t Target, s *Snapshot) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// loadSnapshot applies the checkpoint snapshot to the target.
+func loadSnapshot(t Target, s *Snapshot) (int, error) {
+	if s == nil {
+		return 0, nil
+	}
+	if sl, ok := t.(SnapshotLoader); ok {
+		return sl.LoadSnapshot(s)
+	}
+	return LoadSpans(t, s, s.Spans())
 }
 
 // Replay rebuilds the database contents described by the analysis onto the

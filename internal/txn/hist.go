@@ -12,9 +12,10 @@ import (
 	"time"
 )
 
-// ackHistBuckets is the number of log₂ latency buckets: bucket i counts
-// waits in [2^i, 2^(i+1)) microseconds, with the last bucket absorbing
-// everything longer (~2s and up).
+// ackHistBuckets is the number of log₂ latency buckets: bucket 0 counts
+// waits under 1 microsecond and bucket i > 0 counts waits in
+// [2^(i-1), 2^i) microseconds (bits.Len64 of the wait in microseconds),
+// with the last bucket absorbing everything longer (2^20 µs, ~1s, and up).
 const ackHistBuckets = 22
 
 // ackHist is a lock-free log₂-bucketed latency histogram.  Recording is two
@@ -43,8 +44,8 @@ type AckWaitHist struct {
 	// Count is the number of observed waits; SumNS their total duration.
 	Count uint64
 	SumNS uint64
-	// Buckets[i] counts waits in [2^i, 2^(i+1)) microseconds; the last
-	// bucket is open-ended.
+	// Buckets[0] counts waits under 1 microsecond and Buckets[i], i > 0,
+	// waits in [2^(i-1), 2^i) microseconds; the last bucket is open-ended.
 	Buckets []uint64
 }
 

@@ -328,7 +328,7 @@ func (t *Tracker) Report() *Report {
 					Partition: hot,
 					Share:     hotShare,
 					Message: fmt.Sprintf("partition %d receives %.0f%% of the primary-key accesses (%.1fx its fair share); "+
-						"enable the balance monitor or split the hot range (boundary suggestion: RecommendBoundaries).",
+						"run the repartitioning controller (plpd -drp) or split the hot range (boundary suggestion: RecommendBoundaries).",
 						hot, 100*hotShare, ratio),
 				})
 			}

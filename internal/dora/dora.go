@@ -265,15 +265,17 @@ func (w *Worker) run(b batch) {
 		start = time.Now()
 		w.queueWait.Add(int64(start.Sub(b.enqueuedAt)) * timingSampleEvery)
 	}
+	// Count before running: a task body may signal its client, which can
+	// then read the worker's stats before this goroutine resumes.
 	if b.many == nil {
-		w.exec(&b.one)
 		w.executed.Add(1)
+		w.exec(&b.one)
 	} else {
 		ts := *b.many
+		w.executed.Add(uint64(len(ts)))
 		for i := range ts {
 			w.exec(&ts[i])
 		}
-		w.executed.Add(uint64(len(ts)))
 		PutTasks(b.many)
 	}
 	if !start.IsZero() {

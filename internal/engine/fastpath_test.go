@@ -385,6 +385,11 @@ func TestRebalanceDuringBatchedDispatch(t *testing.T) {
 				}(int64(s + 1))
 			}
 
+			// Let the traffic get going first: on a loaded machine all the
+			// moves could otherwise land before any session is scheduled.
+			for deadline := time.Now().Add(5 * time.Second); ops.Load() == 0 && time.Now().Before(deadline); {
+				time.Sleep(100 * time.Microsecond)
+			}
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < moves; i++ {
 				idx := 1 + i%3

@@ -7,8 +7,9 @@
 // Absolute numbers differ from the paper (different hardware, Go instead of
 // C++, goroutines instead of bound threads); what is reproduced is the
 // shape: which design wins, by roughly what factor, and where the
-// crossovers are.  EXPERIMENTS.md records a measured run next to the
-// paper's claims.
+// crossovers are.  cmd/plpbench runs the experiments by name and prints
+// their reports; the root package's bench_test.go reports their headline
+// numbers as Go benchmark metrics.
 package experiments
 
 import (

@@ -99,6 +99,30 @@ func DecodeUint64(key []byte) (uint64, error) {
 	return binary.BigEndian.Uint64(key), nil
 }
 
+// UniformBoundaries splits the uint64 key space [1, max] into at most n
+// contiguous ranges of near-equal width and returns the internal
+// boundaries (each the Uint64Key of a range's lowest key).  When max >= n
+// there are exactly n-1 boundaries.  A key space smaller than the partition
+// count (one TPC-B branch spread over four workers) cannot fill n ranges:
+// duplicate and out-of-range boundaries are dropped, so the table gets
+// fewer partitions.
+func UniformBoundaries(max uint64, n int) [][]byte {
+	if n <= 1 {
+		return nil
+	}
+	out := make([][]byte, 0, n-1)
+	var prev uint64
+	for i := 1; i < n; i++ {
+		b := max*uint64(i)/uint64(n) + 1
+		if b <= 1 || b == prev || b > max {
+			continue
+		}
+		prev = b
+		out = append(out, Uint64Key(b))
+	}
+	return out
+}
+
 // CompositeUint64 encodes a sequence of uint64 components.
 func CompositeUint64(vs ...uint64) []byte {
 	e := NewEncoder(8 * len(vs))

@@ -140,3 +140,50 @@ func TestPropertyStringOrderPreserving(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestUniformBoundaries(t *testing.T) {
+	// max >= n: exactly the n-1 boundaries max*i/n+1.
+	for _, c := range []struct {
+		max  uint64
+		n    int
+		want []uint64
+	}{
+		{4, 4, []uint64{2, 3, 4}},
+		{40, 4, []uint64{11, 21, 31}},
+		{40000, 4, []uint64{10001, 20001, 30001}},
+		{100000, 4, []uint64{25001, 50001, 75001}},
+		{1 << 40, 4, []uint64{1<<38 + 1, 1<<39 + 1, 3<<38 + 1}},
+		{1000, 2, []uint64{501}},
+		{10, 3, []uint64{4, 7}},
+		{100, 1, nil},
+		{100, 0, nil},
+	} {
+		got := UniformBoundaries(c.max, c.n)
+		if len(got) != len(c.want) {
+			t.Fatalf("UniformBoundaries(%d,%d) = %d boundaries, want %d", c.max, c.n, len(got), len(c.want))
+		}
+		for i, w := range c.want {
+			if !bytes.Equal(got[i], Uint64Key(w)) {
+				t.Fatalf("UniformBoundaries(%d,%d)[%d] = %x, want key %d", c.max, c.n, i, got[i], w)
+			}
+		}
+	}
+	// max < n: fewer ranges, strictly increasing boundaries in (1, max].
+	for _, c := range []struct {
+		max uint64
+		n   int
+	}{{1, 4}, {2, 4}, {3, 4}, {3, 8}, {5, 16}} {
+		got := UniformBoundaries(c.max, c.n)
+		if len(got) > int(c.max)-1 {
+			t.Fatalf("UniformBoundaries(%d,%d) = %d boundaries for %d keys", c.max, c.n, len(got), c.max)
+		}
+		prev := uint64(1)
+		for _, b := range got {
+			v, _ := DecodeUint64(b)
+			if v <= prev || v > c.max {
+				t.Fatalf("UniformBoundaries(%d,%d) boundary %d out of order or range (prev %d)", c.max, c.n, v, prev)
+			}
+			prev = v
+		}
+	}
+}

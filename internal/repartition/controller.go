@@ -17,7 +17,7 @@
 //   - each control period, Step re-buckets the aged key weights through the
 //     current routing, and when the hottest partition exceeds its fair
 //     share by the trigger ratio it invokes the two-phase optimizer
-//     (balance.Optimize) to plan boundary moves;
+//     (Optimize) to plan boundary moves;
 //   - each planned move is applied through engine.Rebalance, which
 //     quiesces only the two workers owning the affected ranges — the rest
 //     of the system never stops;
@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"plp/internal/advisor"
-	"plp/internal/balance"
 	"plp/internal/engine"
 )
 
@@ -47,15 +46,17 @@ var (
 	// ErrNotPartitioned is returned when the engine cannot be rebalanced
 	// (fewer than two partitions, or the Conventional design).
 	ErrNotPartitioned = errors.New("repartition: engine has fewer than two partitions")
-	// ErrUnknownTable is returned by table-scoped queries for tables the
+	// ErrUnknownTable is returned by Attach when Config.Tables names a table
+	// the engine does not have, and by table-scoped queries for tables the
 	// controller has never observed.
 	ErrUnknownTable = errors.New("repartition: table not observed")
 )
 
 // Config tunes a Controller.
 type Config struct {
-	// Tables restricts the controller to the named tables.  Empty means
-	// every table whose actions the engine routes.
+	// Tables restricts the controller to the named tables, which must
+	// exist when Attach runs.  Empty means every table whose actions the
+	// engine routes.
 	Tables []string
 	// Period is the control period of the background loop started by
 	// Start.  Default 100ms.
@@ -72,7 +73,9 @@ type Config struct {
 	// current window before a control period acts; it prevents rebalancing
 	// on noise.  Default 512.
 	MinObservations uint64
-	// MinTransferFraction is forwarded to the optimizer.  Default 0.05.
+	// MinTransferFraction is the smallest fraction of a table's total load
+	// worth moving across one cut; smaller flows are left alone so the
+	// optimizer does not chase noise.  Default 0.05.
 	MinTransferFraction float64
 	// MaxMovesPerPeriod caps how many boundary moves one control period
 	// applies per table (0 = no cap).  Each move quiesces one partition
@@ -111,7 +114,7 @@ type Decision struct {
 	// Table whose boundary moved.
 	Table string
 	// Move is the optimizer's plan that was applied.
-	Move balance.Move
+	Move Move
 	// Stats is the physical cost reported by engine.Rebalance.
 	Stats engine.RebalanceStats
 }
@@ -185,7 +188,8 @@ type Controller struct {
 // a persisted controller blob in the checkpoint meta record — warm-starts
 // the histograms from it, so a restarted controller resumes with the hot
 // set its previous incarnation had learned.  The engine must use a
-// partitioned design with at least two partitions.  Call Detach (or Stop
+// partitioned design with at least two partitions (ErrNotPartitioned), and
+// every table in Config.Tables must exist (ErrUnknownTable).  Call Detach (or Stop
 // and Detach) to disconnect.
 func Attach(e *engine.Engine, cfg Config) (*Controller, error) {
 	cfg.normalize()
@@ -198,6 +202,9 @@ func Attach(e *engine.Engine, cfg Config) (*Controller, error) {
 		tables: make(map[string]*advisor.AgingHistogram),
 	}
 	for _, t := range cfg.Tables {
+		if _, err := e.Table(t); err != nil {
+			return nil, fmt.Errorf("%w: %s", ErrUnknownTable, t)
+		}
 		c.tables[t] = advisor.NewAgingHistogram(e.Options().Partitions, cfg.MaxTrackedKeys)
 	}
 	if blob := e.RecoveredControllerState(); len(blob) > 0 {
@@ -316,11 +323,10 @@ func (c *Controller) stepTable(name string, snap advisor.HistogramSnapshot, made
 		return false
 	}
 	loads := rebucket(snap.Keys, boundaries)
-	if balance.MaxFairRatio(loads) < c.cfg.TriggerRatio {
+	if MaxFairRatio(loads) < c.cfg.TriggerRatio {
 		return false
 	}
-	moves := balance.Optimize(loads, snap.Keys, boundaries,
-		balance.OptimizerConfig{MinTransferFraction: c.cfg.MinTransferFraction})
+	moves := Optimize(loads, snap.Keys, boundaries, c.cfg.MinTransferFraction)
 	if c.cfg.MaxMovesPerPeriod > 0 && len(moves) > c.cfg.MaxMovesPerPeriod {
 		moves = moves[:c.cfg.MaxMovesPerPeriod]
 	}
@@ -402,7 +408,7 @@ func (c *Controller) Status() Status {
 		ts := TableStatus{Table: name, WindowObservations: snap.WindowObservations}
 		if boundaries, err := c.e.Boundaries(name); err == nil {
 			ts.Loads = rebucket(snap.Keys, boundaries)
-			ts.Ratio = balance.MaxFairRatio(ts.Loads)
+			ts.Ratio = MaxFairRatio(ts.Loads)
 		}
 		if tbl, err := c.e.Table(name); err == nil && tbl.Primary != nil {
 			if counts, err := tbl.Primary.PartitionCounts(nil); err == nil {
@@ -465,7 +471,7 @@ func (c *Controller) Control(cmd, table string) (string, error) {
 			return "", err
 		}
 		var b strings.Builder
-		fmt.Fprintf(&b, "table %s ratio=%.2f loads:", table, balance.MaxFairRatio(loads))
+		fmt.Fprintf(&b, "table %s ratio=%.2f loads:", table, MaxFairRatio(loads))
 		for _, l := range loads {
 			fmt.Fprintf(&b, " %.0f", l)
 		}

@@ -2,6 +2,7 @@ package repartition
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -242,6 +243,55 @@ func TestAttachValidation(t *testing.T) {
 	defer one.Close()
 	if _, err := Attach(one, Config{}); err == nil {
 		t.Fatal("Attach accepted a single-partition engine")
+	}
+	e := newTestEngine(t, engine.PLPLeaf)
+	defer e.Close()
+	if _, err := Attach(e, Config{Tables: []string{testTable, "nope"}}); !errors.Is(err, ErrUnknownTable) {
+		t.Fatalf("Attach with an unknown table: err=%v, want ErrUnknownTable", err)
+	}
+}
+
+// TestStepLeavesBoundariesAlone covers the two control periods that must not
+// move a boundary: one with too few observations to trust (all of them on
+// partition 0's range, so the skew alone would trigger a move), and one
+// with plenty of observations spread uniformly over the key space.
+func TestStepLeavesBoundariesAlone(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		obs  int
+		key  func(rng *rand.Rand) uint64
+	}{
+		{"below MinObservations", 999, func(rng *rand.Rand) uint64 { return 1 + rng.Uint64()%100 }},
+		{"uniform load", 20_000, func(rng *rand.Rand) uint64 { return 1 + rng.Uint64()%testKeyspace }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEngine(t, engine.PLPLeaf)
+			defer e.Close()
+			c, err := Attach(e, Config{Tables: []string{testTable}, TriggerRatio: 1.3, MinObservations: 1000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Detach()
+			before, _ := e.Boundaries(testTable)
+
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < tc.obs; i++ {
+				key := keyenc.Uint64Key(tc.key(rng))
+				c.Observe(testTable, e.PartitionFor(testTable, key), key)
+			}
+			if made := c.Step(); len(made) != 0 {
+				t.Fatalf("Step moved boundaries: %v", made)
+			}
+			after, _ := e.Boundaries(testTable)
+			for i := range before {
+				if !bytes.Equal(before[i], after[i]) {
+					t.Fatalf("boundary %d moved from %x to %x", i+1, before[i], after[i])
+				}
+			}
+			if st := c.Status(); st.Applied != 0 || st.Skipped != 1 {
+				t.Fatalf("status applied=%d skipped=%d, want 0 and 1", st.Applied, st.Skipped)
+			}
+		})
 	}
 }
 

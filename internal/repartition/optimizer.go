@@ -1,10 +1,8 @@
-// The two-phase load-balance optimizer behind online dynamic repartitioning.
+// The two-phase load-balance optimizer behind the controller.
 //
-// The single-boundary Monitor in this package reacts to one hot partition
-// at a time.  The DRP controller (package repartition) needs the full
-// picture: given aged per-partition loads and an aged key histogram, decide
-// every boundary move that brings the table back to balance.  Optimize
-// works in the two phases of the paper's load balancer:
+// Given aged per-partition loads and an aged key histogram, Optimize decides
+// every boundary move that brings the table back to balance.  It works in
+// the two phases of the paper's load balancer:
 //
 //   - Phase 1 (planning) treats the partitions as a chain and computes, for
 //     every cut between two adjacent partitions, the signed load flow that
@@ -19,7 +17,7 @@
 //
 // The optimizer is pure: it never touches an engine, which keeps it
 // deterministic and unit-testable.
-package balance
+package repartition
 
 import (
 	"bytes"
@@ -42,21 +40,6 @@ type Move struct {
 	// Transfer is the planned load flow across the cut, in aged weight
 	// units.
 	Transfer float64
-}
-
-// OptimizerConfig tunes Optimize.
-type OptimizerConfig struct {
-	// MinTransferFraction is the smallest fraction of the total load worth
-	// moving across a cut; smaller flows are left alone so the optimizer
-	// does not chase noise.  Default 0.05.
-	MinTransferFraction float64
-}
-
-// normalize fills in defaults.
-func (c *OptimizerConfig) normalize() {
-	if c.MinTransferFraction <= 0 {
-		c.MinTransferFraction = 0.05
-	}
 }
 
 // MaxFairRatio returns the hottest partition's load over the fair share
@@ -86,9 +69,10 @@ func MaxFairRatio(loads []float64) float64 {
 // mrbtree.Tree.Boundaries).  The returned moves are ordered by boundary
 // index and are valid to apply sequentially through engine.Rebalance.  A
 // nil result means the table is already balanced or the histogram carries
-// too little information to act on.
-func Optimize(loads []float64, keys []advisor.KeyWeight, boundaries [][]byte, cfg OptimizerConfig) []Move {
-	cfg.normalize()
+// too little information to act on.  Cut flows below minTransferFraction
+// of the total load are left alone so the optimizer does not chase noise
+// (Config.MinTransferFraction).
+func Optimize(loads []float64, keys []advisor.KeyWeight, boundaries [][]byte, minTransferFraction float64) []Move {
 	n := len(loads)
 	if n < 2 || len(boundaries) != n-1 || len(keys) == 0 {
 		return nil
@@ -134,7 +118,7 @@ func Optimize(loads []float64, keys []advisor.KeyWeight, boundaries [][]byte, cf
 		}
 		effectiveLower = nil
 
-		if math.Abs(flow[i]) < cfg.MinTransferFraction*total {
+		if math.Abs(flow[i]) < minTransferFraction*total {
 			continue
 		}
 		// The equal-load quantile: the first key index whose prefix weight

@@ -1,4 +1,4 @@
-package balance
+package repartition
 
 import (
 	"bytes"
@@ -18,15 +18,6 @@ func histFromCounts(counts map[uint64]float64) []advisor.KeyWeight {
 		out = append(out, advisor.KeyWeight{Key: keyenc.Uint64Key(k), Weight: w})
 	}
 	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].Key, out[j].Key) < 0 })
-	return out
-}
-
-// uniformBounds returns n-1 uniform boundaries over [1, max].
-func uniformBounds(max uint64, n int) [][]byte {
-	out := make([][]byte, 0, n-1)
-	for i := 1; i < n; i++ {
-		out = append(out, keyenc.Uint64Key(max*uint64(i)/uint64(n)+1))
-	}
 	return out
 }
 
@@ -50,7 +41,7 @@ func TestOptimizeBalancedInputNoMoves(t *testing.T) {
 	for k := uint64(1); k <= 100; k++ {
 		counts[k] = 1
 	}
-	moves := Optimize([]float64{25, 25, 25, 25}, histFromCounts(counts), uniformBounds(100, 4), OptimizerConfig{})
+	moves := Optimize([]float64{25, 25, 25, 25}, histFromCounts(counts), keyenc.UniformBoundaries(100, 4), 0.05)
 	if len(moves) != 0 {
 		t.Fatalf("balanced input produced moves: %+v", moves)
 	}
@@ -58,14 +49,19 @@ func TestOptimizeBalancedInputNoMoves(t *testing.T) {
 
 func TestOptimizeDegenerateInputs(t *testing.T) {
 	counts := map[uint64]float64{1: 1, 2: 1}
-	if m := Optimize([]float64{1}, histFromCounts(counts), nil, OptimizerConfig{}); m != nil {
+	if m := Optimize([]float64{1}, histFromCounts(counts), nil, 0.05); m != nil {
 		t.Fatalf("single partition produced moves")
 	}
-	if m := Optimize([]float64{1, 1}, nil, uniformBounds(10, 2), OptimizerConfig{}); m != nil {
+	if m := Optimize([]float64{1, 1}, nil, keyenc.UniformBoundaries(10, 2), 0.05); m != nil {
 		t.Fatalf("empty histogram produced moves")
 	}
-	if m := Optimize([]float64{0, 0}, histFromCounts(counts), uniformBounds(10, 2), OptimizerConfig{}); m != nil {
+	if m := Optimize([]float64{0, 0}, histFromCounts(counts), keyenc.UniformBoundaries(10, 2), 0.05); m != nil {
 		t.Fatalf("zero load produced moves")
+	}
+	// All the load on one key: no boundary can split a single key, so
+	// there is no useful move to plan.
+	if m := Optimize([]float64{100, 0, 0, 0}, histFromCounts(map[uint64]float64{42: 100}), keyenc.UniformBoundaries(1000, 4), 0.05); m != nil {
+		t.Fatalf("single hot key produced moves: %+v", m)
 	}
 }
 
@@ -95,10 +91,10 @@ func TestOptimizeHotFirstPartition(t *testing.T) {
 		counts[k] = 20.0 / 900
 	}
 	keys := histFromCounts(counts)
-	bounds := uniformBounds(1000, 4)
+	bounds := keyenc.UniformBoundaries(1000, 4)
 	loads, _ := apply(nil, bounds, keys, 4)
 
-	moves := Optimize(loads, keys, bounds, OptimizerConfig{})
+	moves := Optimize(loads, keys, bounds, 0.05)
 	if len(moves) == 0 {
 		t.Fatalf("hot head produced no moves")
 	}
@@ -125,7 +121,7 @@ func TestOptimizeConvergesOnZipf(t *testing.T) {
 		counts[zipf.Uint64()+1]++
 	}
 	keys := histFromCounts(counts)
-	bounds := uniformBounds(100_000, 8)
+	bounds := keyenc.UniformBoundaries(100_000, 8)
 	loads, _ := apply(nil, bounds, keys, 8)
 	if MaxFairRatio(loads) < 2 {
 		t.Fatalf("test setup not skewed enough: ratio %.2f", MaxFairRatio(loads))
@@ -133,7 +129,7 @@ func TestOptimizeConvergesOnZipf(t *testing.T) {
 
 	ratio := MaxFairRatio(loads)
 	for round := 0; round < 6; round++ {
-		moves := Optimize(loads, keys, bounds, OptimizerConfig{})
+		moves := Optimize(loads, keys, bounds, 0.05)
 		if len(moves) == 0 {
 			break
 		}

@@ -276,18 +276,8 @@ func (w *Workload) Boundaries() [][]byte {
 }
 
 // UniformBoundaries splits [1, max] into n equal key ranges, returning the
-// n-1 internal boundaries.
-func UniformBoundaries(max uint64, n int) [][]byte {
-	if n <= 1 {
-		return nil
-	}
-	out := make([][]byte, 0, n-1)
-	for i := 1; i < n; i++ {
-		b := max*uint64(i)/uint64(n) + 1
-		out = append(out, keyenc.Uint64Key(b))
-	}
-	return out
-}
+// n-1 internal boundaries (see keyenc.UniformBoundaries).
+func UniformBoundaries(max uint64, n int) [][]byte { return keyenc.UniformBoundaries(max, n) }
 
 // Setup creates the TATP tables on the engine and loads them.
 func (w *Workload) Setup(e *engine.Engine) error {

@@ -112,10 +112,10 @@ func (w *Workload) Setup(e *engine.Engine) error {
 	nTel := uint64(w.cfg.Branches * TellersPerBranch)
 	nBr := uint64(w.cfg.Branches)
 	defs := []catalog.TableDef{
-		{Name: TableAccount, Boundaries: uniformBoundaries(nAcc, w.cfg.Partitions)},
-		{Name: TableTeller, Boundaries: uniformBoundaries(nTel, w.cfg.Partitions)},
-		{Name: TableBranch, Boundaries: uniformBoundaries(nBr, w.cfg.Partitions)},
-		{Name: TableHistory, Boundaries: uniformBoundaries(1<<40, w.cfg.Partitions)},
+		{Name: TableAccount, Boundaries: keyenc.UniformBoundaries(nAcc, w.cfg.Partitions)},
+		{Name: TableTeller, Boundaries: keyenc.UniformBoundaries(nTel, w.cfg.Partitions)},
+		{Name: TableBranch, Boundaries: keyenc.UniformBoundaries(nBr, w.cfg.Partitions)},
+		{Name: TableHistory, Boundaries: keyenc.UniformBoundaries(1<<40, w.cfg.Partitions)},
 	}
 	for _, def := range defs {
 		if _, err := e.CreateTable(def); err != nil {
@@ -123,28 +123,6 @@ func (w *Workload) Setup(e *engine.Engine) error {
 		}
 	}
 	return w.Load(e)
-}
-
-// uniformBoundaries splits [1, max] into at most n ranges.  When the key
-// space is smaller than the partition count (e.g. a single branch split
-// across many workers) duplicate boundaries are dropped, yielding fewer
-// partitions for that table; routing still spreads the other tables across
-// all workers.
-func uniformBoundaries(max uint64, n int) [][]byte {
-	if n <= 1 {
-		return nil
-	}
-	out := make([][]byte, 0, n-1)
-	var prev uint64
-	for i := 1; i < n; i++ {
-		b := max*uint64(i)/uint64(n) + 1
-		if b <= 1 || b == prev || b > max {
-			continue
-		}
-		prev = b
-		out = append(out, keyenc.Uint64Key(b))
-	}
-	return out
 }
 
 // Load populates branches, tellers and accounts with zero balances.

@@ -116,7 +116,7 @@ func (w *Workload) Setup(e *engine.Engine) error {
 		{Name: TableWarehouse, Boundaries: whBounds},
 		{Name: TableDistrict, Boundaries: whBounds},
 		{Name: TableCustomer, Boundaries: whBounds},
-		{Name: TableItem, Boundaries: uniformBoundaries(Items, w.cfg.Partitions)},
+		{Name: TableItem, Boundaries: keyenc.UniformBoundaries(Items, w.cfg.Partitions)},
 		{Name: TableStock, Boundaries: whBounds},
 		{Name: TableOrders, Boundaries: whBounds},
 		{Name: TableOrderLine, Boundaries: whBounds},
@@ -133,27 +133,7 @@ func (w *Workload) Setup(e *engine.Engine) error {
 // warehouse-rooted keys lead with the warehouse id, the same boundaries
 // partition every warehouse-rooted table consistently.
 func warehouseBoundaries(warehouses uint64, parts int) [][]byte {
-	return uniformBoundaries(warehouses, parts)
-}
-
-// uniformBoundaries splits [1, max] into at most n ranges, dropping
-// duplicate boundaries when the key space is smaller than the partition
-// count (e.g. one warehouse spread across many workers).
-func uniformBoundaries(max uint64, n int) [][]byte {
-	if n <= 1 {
-		return nil
-	}
-	out := make([][]byte, 0, n-1)
-	var prev uint64
-	for i := 1; i < n; i++ {
-		b := max*uint64(i)/uint64(n) + 1
-		if b <= 1 || b == prev || b > max {
-			continue
-		}
-		prev = b
-		out = append(out, keyenc.Uint64Key(b))
-	}
-	return out
+	return keyenc.UniformBoundaries(warehouses, parts)
 }
 
 // Load populates the tables.

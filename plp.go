@@ -146,7 +146,6 @@
 // engine backed by a disk-based group-commit log, Checkpoint/Recover and
 // the background Checkpointer for restart recovery over the shared log,
 // AttachRepartitioner for the paper's online dynamic repartitioning (DRP),
-// NewBalanceMonitor for simpler one-table rebalancing under skew,
 // NewAdvisorTracker for the partition-alignment analysis of Appendix E, and
 // NewServer plus the client, wire and keys packages (and cmd/plpd,
 // cmd/plpctl) for serving an engine over TCP.
@@ -423,13 +422,4 @@ func CompositeKey(vs ...uint64) []byte { return keyenc.CompositeUint64(vs...) }
 
 // UniformBoundaries splits the key space [1, max] into n contiguous ranges
 // and returns the n-1 internal boundaries, ready to be passed to TableDef.
-func UniformBoundaries(max uint64, n int) [][]byte {
-	if n <= 1 {
-		return nil
-	}
-	out := make([][]byte, 0, n-1)
-	for i := 1; i < n; i++ {
-		out = append(out, keyenc.Uint64Key(max*uint64(i)/uint64(n)+1))
-	}
-	return out
-}
+func UniformBoundaries(max uint64, n int) [][]byte { return keyenc.UniformBoundaries(max, n) }
